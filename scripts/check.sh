@@ -15,6 +15,13 @@ fi
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
+echo "== benchmark self-tests (perfbench) =="
+# The tier-1 testpaths cover only tests/, but perfbench/tracing.py wraps
+# program symbols by name (parse_script, LeaseManager methods, ...): a
+# rename there breaks the benchmark, and these ~15 s of self-tests are
+# where it shows (MissingBoundary) before the benchmark itself runs.
+python -m pytest perfbench -q
+
 echo "== perf smoke (wall-clock guard) =="
 # Small-dataset run of the perf harness doubling as a regression gate:
 # the smoke suite finishes well under a second on a laptop, so a 60 s

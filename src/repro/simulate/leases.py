@@ -393,10 +393,14 @@ class LeaseManager:
 
     def _select(self) -> Optional[_LeaseRequest]:
         if self.policy == "fair":
-            candidates = sorted(self._pending, key=self._fair_key)
-        else:
-            candidates = self._pending
-        for request in candidates:
+            # ``seq`` makes the key a total order, so the minimum over the
+            # fitting requests is exactly the first fit in key order
+            return min(
+                (request for request in self._pending
+                 if self._request_fits(request)),
+                key=self._fair_key, default=None,
+            )
+        for request in self._pending:
             if self._request_fits(request):
                 return request
         return None

@@ -21,7 +21,7 @@ class Expression:
         return []
 
 
-@dataclass
+@dataclass(frozen=True)
 class Literal(Expression):
     value: object  # int, float, str, bool or None
 
@@ -31,7 +31,7 @@ class Literal(Expression):
         return "NULL" if self.value is None else str(self.value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnRef(Expression):
     name: str
     table: Optional[str] = None  # alias qualifier, e.g. l.l_orderkey
@@ -40,7 +40,7 @@ class ColumnRef(Expression):
         return f"{self.table}.{self.name}" if self.table else self.name
 
 
-@dataclass
+@dataclass(frozen=True)
 class Star(Expression):
     """``*`` or ``alias.*`` in a select list or COUNT(*)."""
 
@@ -50,7 +50,7 @@ class Star(Expression):
         return f"{self.table}.*" if self.table else "*"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinaryOp(Expression):
     op: str  # '+', '-', '*', '/', '%', '=', '<>', '<', '<=', '>', '>=', 'and', 'or'
     left: Expression
@@ -63,7 +63,7 @@ class BinaryOp(Expression):
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnaryOp(Expression):
     op: str  # '-', 'not'
     operand: Expression
@@ -75,7 +75,7 @@ class UnaryOp(Expression):
         return f"({self.op} {self.operand})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionCall(Expression):
     name: str  # lowercase
     args: List[Expression] = field(default_factory=list)
@@ -90,7 +90,7 @@ class FunctionCall(Expression):
         return f"{self.name}({prefix}{inner})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseWhen(Expression):
     """Searched CASE: WHEN cond THEN value ... [ELSE value] END."""
 
@@ -112,7 +112,7 @@ class CaseWhen(Expression):
         return f"case {parts}{suffix} end"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Between(Expression):
     operand: Expression
     low: Expression
@@ -123,7 +123,7 @@ class Between(Expression):
         return [self.operand, self.low, self.high]
 
 
-@dataclass
+@dataclass(frozen=True)
 class InList(Expression):
     operand: Expression
     items: List[Expression] = field(default_factory=list)
@@ -133,7 +133,7 @@ class InList(Expression):
         return [self.operand] + list(self.items)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InSubquery(Expression):
     """``expr [NOT] IN (SELECT single_column ...)`` — uncorrelated only.
 
@@ -150,7 +150,7 @@ class InSubquery(Expression):
         return [self.operand]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Like(Expression):
     operand: Expression
     pattern: Expression  # must evaluate to a string with % and _
@@ -160,7 +160,7 @@ class Like(Expression):
         return [self.operand, self.pattern]
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsNull(Expression):
     operand: Expression
     negated: bool = False
@@ -169,7 +169,7 @@ class IsNull(Expression):
         return [self.operand]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cast(Expression):
     operand: Expression
     type_name: str
@@ -186,7 +186,7 @@ class Source:
     """Marker base class for FROM-clause items."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableRef(Source):
     name: str
     alias: Optional[str] = None
@@ -196,7 +196,7 @@ class TableRef(Source):
         return (self.alias or self.name).lower()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubquerySource(Source):
     query: "Select"
     alias: str
@@ -206,7 +206,7 @@ class SubquerySource(Source):
         return self.alias.lower()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Join(Source):
     left: Source
     right: Source
@@ -218,19 +218,19 @@ class Join(Source):
 # statements
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SelectItem:
     expression: Expression
     alias: Optional[str] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderItem:
     expression: Expression
     ascending: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class Select:
     items: List[SelectItem]
     source: Optional[Source]
@@ -242,13 +242,13 @@ class Select:
     distinct: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnDef:
     name: str
     type_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class CreateTable:
     name: str
     columns: List[ColumnDef]
@@ -257,20 +257,20 @@ class CreateTable:
     partition_columns: List[ColumnDef] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CreateTableAsSelect:
     name: str
     query: Select
     format_name: Optional[str] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropTable:
     name: str
     if_exists: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class InsertOverwrite:
     table: str
     query: "Statement"  # Select or UnionAll
@@ -279,27 +279,27 @@ class InsertOverwrite:
     partition: List[Tuple[str, object]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnionAll:
     """UNION ALL of two or more selects (bag semantics, Hive-style)."""
 
     branches: List["Select"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SetOption:
     key: str
     value: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Explain:
     """EXPLAIN <statement>: show the physical plan without running it."""
 
     target: "Statement"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyzeTable:
     """ANALYZE TABLE t COMPUTE STATISTICS [FOR COLUMNS].
 

@@ -7,7 +7,8 @@ IS NULL) < ``+ -`` < ``* / %`` < unary minus < primary.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from repro.common.errors import ParseError
 from repro.sql import ast
@@ -557,9 +558,27 @@ class Parser:
 # module-level helpers
 # ---------------------------------------------------------------------------
 
+#: Distinct script texts whose parse :func:`parse_script` keeps.
+PARSE_MEMO_CAPACITY = 256
+
+
+@lru_cache(maxsize=PARSE_MEMO_CAPACITY)
+def _parse_script_memo(text: str) -> Tuple[ast.Statement, ...]:
+    # parsing is a pure function of the text and the (frozen) nodes are
+    # never mutated downstream, so every caller may share one parse; a
+    # ParseError propagates out of lru_cache and is never cached
+    return tuple(Parser(text).parse_script())
+
+
 def parse_script(text: str) -> List[ast.Statement]:
-    """Parse a multi-statement (``;``-separated) HiveQL script."""
-    return Parser(text).parse_script()
+    """Parse a multi-statement (``;``-separated) HiveQL script.
+
+    Served from a bounded LRU memo keyed by the text: a serving loop
+    re-submits the same few statements, and re-lexing every arrival
+    would dominate a result-cache hit's host cost.  Each call returns a
+    fresh list over the shared statements.
+    """
+    return list(_parse_script_memo(text))
 
 
 def parse_statement(text: str) -> ast.Statement:

@@ -355,10 +355,15 @@ class OrcStoredFile(StoredFile):
                     stripe.stats[column.name.lower()] = (None, None)
             self.stripes.append(stripe)
             self._stripe_columns.append(decoded)
+        # stripes are never mutated after encoding, so the size is fixed;
+        # the result cache fingerprints every input file on each lookup
+        self._total_bytes = (
+            sum(stripe.total_bytes for stripe in self.stripes) + _FILE_FOOTER_BYTES
+        )
 
     @property
     def total_bytes(self) -> int:
-        return sum(stripe.total_bytes for stripe in self.stripes) + _FILE_FOOTER_BYTES
+        return self._total_bytes
 
     def bytes_for_range(self, row_start: int, row_count: int) -> int:
         """Bytes for a row range; partially-overlapped stripes charge

@@ -1,10 +1,14 @@
 """Tests for the HiveQL lexer and parser."""
 
+import dataclasses
+
 import pytest
 
+from repro import connect
 from repro.common.errors import ParseError
 from repro.sql import ast, parse_expression, parse_script, parse_statement
 from repro.sql.lexer import Lexer, TokenType
+from repro.sql.parser import PARSE_MEMO_CAPACITY, _parse_script_memo
 
 
 class TestLexer:
@@ -224,3 +228,63 @@ class TestStatementParsing:
     def test_garbage_statement_rejected(self):
         with pytest.raises(ParseError):
             parse_statement("EXPLODE TABLE t")
+
+
+class TestParseMemo:
+    """``parse_script`` memoizes by text; callers must never observe it."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        _parse_script_memo.cache_clear()
+        yield
+        _parse_script_memo.cache_clear()
+
+    def test_same_text_gives_equal_statements_in_a_fresh_list(self):
+        text = "SELECT dept, count(*) n FROM emp GROUP BY dept; DROP TABLE x"
+        first = parse_script(text)
+        second = parse_script(text)
+        assert first == second
+        assert first is not second
+        first.append(ast.DropTable("y"))
+        assert parse_script(text) == second
+        assert len(parse_script(text)) == 2
+
+    def test_statements_are_frozen(self):
+        (statement,) = parse_script("SELECT 1 one FROM t")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            statement.limit = 5
+
+    def test_parse_error_is_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                parse_script("SELECT FROM WHERE")
+        assert _parse_script_memo.cache_info().currsize == 0
+
+    def test_memo_never_exceeds_its_capacity(self):
+        for index in range(PARSE_MEMO_CAPACITY + 50):
+            parse_script(f"SELECT {index} v FROM t")
+        assert _parse_script_memo.cache_info().currsize == PARSE_MEMO_CAPACITY
+        # the oldest texts were evicted, the newest are still served
+        parse_script(f"SELECT {PARSE_MEMO_CAPACITY + 49} v FROM t")
+        assert _parse_script_memo.cache_info().hits == 1
+
+    def test_execute_and_submit_tokenize_once(self, warehouse, monkeypatch):
+        calls = []
+        tokenize = Lexer.tokenize
+
+        def counting_tokenize(self):
+            calls.append(self)
+            return tokenize(self)
+
+        monkeypatch.setattr(Lexer, "tokenize", counting_tokenize)
+        hdfs, metastore = warehouse
+        sql = "SELECT dept, count(*) n FROM emp GROUP BY dept"
+        with connect(engine="llap", num_workers=2, hdfs=hdfs,
+                     metastore=metastore) as session:
+            (first,) = session.execute(sql)
+            (second,) = session.execute(sql)
+            third = session.submit(sql).result()
+        assert len(calls) == 1
+        assert second.cache_hit
+        assert sorted(second.rows, key=repr) == sorted(first.rows, key=repr)
+        assert sorted(third.rows, key=repr) == sorted(first.rows, key=repr)

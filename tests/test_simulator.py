@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
 from repro.simulate import Simulator, SlotPool, Bandwidth, MemoryAccount
-from repro.simulate.events import AllOf, AnyOf
+from repro.simulate.events import AllOf, AnyOf, Event
+from repro.simulate.leases import LeaseManager, LeaseOwner
 
 
 class TestEventLoop:
@@ -500,3 +501,61 @@ class TestMemoryAccount:
         memory = MemoryAccount(200.0)
         memory.allocate(50)
         assert memory.utilization == pytest.approx(0.25)
+
+
+def _reference_select(manager):
+    """The original pick: sort every pending request, take the first fit."""
+    if manager.policy == "fair":
+        candidates = sorted(manager._pending, key=manager._fair_key)
+    else:
+        candidates = manager._pending
+    for request in candidates:
+        if manager._request_fits(request):
+            return request
+    return None
+
+
+_lease_request = st.tuples(
+    st.integers(0, 3),                       # owner query
+    st.sampled_from(["bi", "etl", "adhoc"]),  # owner scheduling pool
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),   # owner weight
+    st.booleans(),                           # gang?
+    st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)),
+             min_size=1, max_size=3),        # (slot pool, count) wants
+)
+
+
+class TestLeasePick:
+    @given(
+        policy=st.sampled_from(["fair", "fifo"]),
+        capacities=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+        used=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+        requests=st.lists(_lease_request, min_size=0, max_size=12),
+        active_groups=st.dictionaries(
+            st.sampled_from(["bi", "etl", "adhoc"]), st.integers(0, 6)),
+        active_queries=st.dictionaries(
+            st.sampled_from([f"q{i}" for i in range(4)]), st.integers(0, 4)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_select_matches_sort_then_first_fit(
+        self, policy, capacities, used, requests, active_groups, active_queries
+    ):
+        sim = Simulator()
+        manager = LeaseManager(sim, policy=policy)
+        pools = [SlotPool(sim, capacity, name=f"p{index}")
+                 for index, capacity in enumerate(capacities)]
+        for pool, in_use in zip(pools, used):
+            pool.in_use = min(in_use, pool.capacity)
+        for query, group, weight, gang, wants in requests:
+            owner = LeaseOwner(f"q{query}", pool=group, weight=weight)
+            if gang:
+                resolved = [(pools[index % len(pools)],
+                             min(count, pools[index % len(pools)].capacity))
+                            for index, count in wants]
+            else:
+                resolved = [(pools[wants[0][0] % len(pools)], 1)]
+            manager._enqueue(resolved, owner, Event(sim), gang=gang)
+        manager._active_by_pool_group.update(active_groups)
+        manager._active_by_query.update(active_queries)
+
+        assert manager._select() is _reference_select(manager)
