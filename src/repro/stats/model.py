@@ -27,8 +27,9 @@ degrade to "no stats" instead of wrong plans.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.stats.sketches import (
     DEFAULT_HEAVY_CAPACITY,
@@ -60,17 +61,44 @@ class ColumnStats:
     )
 
     def observe(self, value: object) -> None:
-        self.count += 1
-        if value is None:
-            self.null_count += 1
-            return
-        self.ndv_sketch.add(value)
-        self.heavy.add(value)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            if self.min_value is None or value < self.min_value:
-                self.min_value = value
-            if self.max_value is None or value > self.max_value:
-                self.max_value = value
+        self.observe_column([value])
+
+    def observe_column(self, values: Sequence[object]) -> None:
+        """Fold one column's values, in row order, into the stats.
+
+        NaN counts toward ``count``, NDV and heavy hitters but is left
+        out of min/max: it compares false both ways, so letting it in
+        would make the range depend on row order.
+        """
+        self.count += len(values)
+        present = [value for value in values if value is not None]
+        self.null_count += len(values) - len(present)
+        heavy_add = self.heavy.add
+        for value in present:
+            heavy_add(value)
+        # KMV is a set function: hash each canonical encoding once.
+        # 1, 1.0 and True are equal keys with distinct encodings, hence
+        # the type; so are 0.0 and -0.0, hence the sign of a float zero.
+        distinct = {}
+        for value in present:
+            if value == 0 and isinstance(value, float):
+                distinct.setdefault((float, math.copysign(1.0, value)), value)
+            else:
+                distinct.setdefault((type(value), value), value)
+        ndv_add = self.ndv_sketch.add
+        for value in distinct.values():
+            ndv_add(value)
+        numeric = [
+            value for value in present
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value == value  # not NaN
+        ]
+        if numeric:
+            low, high = min(numeric), max(numeric)
+            if self.min_value is None or low < self.min_value:
+                self.min_value = low
+            if self.max_value is None or high > self.max_value:
+                self.max_value = high
 
     def merge(self, other: "ColumnStats") -> "ColumnStats":
         merged = ColumnStats(
@@ -210,10 +238,11 @@ def table_fingerprint(hdfs, location: str) -> Fingerprint:
 def collect_table_stats(hdfs, table, with_columns: bool = True) -> TableStats:
     """Scan *table*'s files and build a :class:`TableStats`.
 
-    Per-file column sketches are built independently and merged — the
-    same block-wise shape a distributed stats task would use, and what
-    the property tests exercise for associativity.  With
-    ``with_columns=False`` only file metadata is read (basic stats).
+    Per-file column sketches are built independently, one column at a
+    time, and merged — the same block-wise shape a distributed stats
+    task would use, and what the property tests exercise for
+    associativity.  With ``with_columns=False`` only file metadata is
+    read (basic stats).
     """
     files = hdfs.list_dir(table.location)
     stats = TableStats(
@@ -227,12 +256,12 @@ def collect_table_stats(hdfs, table, with_columns: bool = True) -> TableStats:
     names = [column.name.lower() for column in table.full_schema.columns]
     merged: Dict[str, ColumnStats] = {}
     for data_file in files:
-        per_file = {name: ColumnStats(name=name) for name in names}
-        for row in data_file.rows:
-            for position, name in enumerate(names):
-                if position < len(row):
-                    per_file[name].observe(row[position])
-        for name, column_stats in per_file.items():
+        rows = data_file.rows
+        for position, name in enumerate(names):
+            column_stats = ColumnStats(name=name)
+            column_stats.observe_column(
+                [row[position] for row in rows if position < len(row)]
+            )
             merged[name] = (
                 column_stats if name not in merged
                 else merged[name].merge(column_stats)

@@ -123,9 +123,19 @@ class KMVSketch:
 
 
 class SpaceSavingSketch:
-    """Space-Saving heavy-hitter summary with deterministic eviction."""
+    """Space-Saving heavy-hitter summary with deterministic eviction.
 
-    __slots__ = ("capacity", "total", "_counts", "_errors")
+    The eviction victim is the counter with the smallest
+    ``(count, canonical value bytes)``; among distinct values with equal
+    bytes (two NaN objects) the earliest admitted goes first.  A lazy
+    min-heap finds it in ``O(log capacity)`` amortized: each tracked
+    value has one entry ``(count lower bound, order key, admission seq,
+    value)``, increments touch only ``_counts``, and an eviction
+    refreshes stale bounds at the top until the top entry is current.
+    The order key is computed once, when the value is admitted.
+    """
+
+    __slots__ = ("capacity", "total", "_counts", "_errors", "_keys", "_heap", "_seq")
 
     def __init__(self, capacity: int = DEFAULT_HEAVY_CAPACITY):
         if capacity < 1:
@@ -134,6 +144,11 @@ class SpaceSavingSketch:
         self.total = 0  # observations seen (sum of add counts)
         self._counts: Dict[object, int] = {}
         self._errors: Dict[object, int] = {}
+        self._keys: Dict[object, bytes] = {}  # cached value_order_key
+        # one (count lower bound, order key, admission seq, value) per
+        # tracked value; the unique seq means values are never compared
+        self._heap: List[Tuple[int, bytes, int, object]] = []
+        self._seq = 0  # admissions so far
 
     def add(self, value: object, count: int = 1) -> None:
         if count <= 0:
@@ -143,22 +158,36 @@ class SpaceSavingSketch:
         if value in counts:
             counts[value] += count
             return
+        key = value_order_key(value)
+        seq = self._seq
+        self._seq = seq + 1
         if len(counts) < self.capacity:
             counts[value] = count
             self._errors[value] = 0
+            self._keys[value] = key
+            heapq.heappush(self._heap, (count, key, seq, value))
             return
         victim = self._min_item()
         floor = counts.pop(victim)
         self._errors.pop(victim)
+        self._keys.pop(victim)
         counts[value] = floor + count
         self._errors[value] = floor
+        self._keys[value] = key
+        heapq.heapreplace(self._heap, (floor + count, key, seq, value))
 
     def _min_item(self) -> object:
-        """Counter with the smallest count; ties broken on canonical
-        value bytes so eviction order never depends on insertion order."""
-        return min(
-            self._counts, key=lambda v: (self._counts[v], value_order_key(v))
-        )
+        """Counter with the smallest ``(count, order key, seq)``, left at
+        the top of the heap.  Bounds only lag behind counts, so once the
+        top entry's bound is current no other entry can be smaller."""
+        heap = self._heap
+        counts = self._counts
+        while True:
+            bound, key, seq, value = heap[0]
+            current = counts[value]
+            if bound == current:
+                return value
+            heapq.heapreplace(heap, (current, key, seq, value))
 
     # -- queries ------------------------------------------------------------
     def estimate(self, value: object) -> int:
@@ -189,17 +218,19 @@ class SpaceSavingSketch:
             for value, count in self._counts.items()
             if count / self.total >= min_share
         ]
-        out.sort(key=lambda item: (-item[1], value_order_key(item[0])))
+        keys = self._keys
+        out.sort(key=lambda item: (-item[1], keys[item[0]]))
         return out
 
     def items(self) -> List[Tuple[object, int, int]]:
         """All tracked ``(value, count, error)`` triples, heaviest first."""
+        keys = self._keys
         return sorted(
             (
                 (value, count, self._errors[value])
                 for value, count in self._counts.items()
             ),
-            key=lambda item: (-item[1], value_order_key(item[0])),
+            key=lambda item: (-item[1], keys[item[0]]),
         )
 
     def merge(self, other: "SpaceSavingSketch") -> "SpaceSavingSketch":
@@ -219,8 +250,13 @@ class SpaceSavingSketch:
             min(other._counts.values())
             if len(other._counts) >= other.capacity else 0
         )
+        # the union in a fixed order; of two equal values (1 and 1.0)
+        # this side's object, and its order key, represent both
+        keys = dict(self._keys)
+        for value, key in other._keys.items():
+            keys.setdefault(value, key)
         combined: Dict[object, Tuple[int, int]] = {}
-        for value in set(self._counts) | set(other._counts):
+        for value in keys:
             count = error = 0
             if value in self._counts:
                 count += self._counts[value]
@@ -239,11 +275,16 @@ class SpaceSavingSketch:
         merged.total = self.total + other.total
         survivors = sorted(
             combined.items(),
-            key=lambda item: (-item[1][0], value_order_key(item[0])),
+            key=lambda item: (-item[1][0], keys[item[0]]),
         )[: self.capacity]
-        for value, (count, error) in survivors:
+        # the survivors' sorted order is their admission order
+        for seq, (value, (count, error)) in enumerate(survivors):
             merged._counts[value] = count
             merged._errors[value] = error
+            merged._keys[value] = keys[value]
+            merged._heap.append((count, keys[value], seq, value))
+        merged._seq = len(survivors)
+        heapq.heapify(merged._heap)
         return merged
 
     def state(self) -> tuple:
@@ -252,7 +293,7 @@ class SpaceSavingSketch:
             self.total,
             tuple(
                 sorted(
-                    ((value_order_key(v), c, self._errors[v])
+                    ((self._keys[v], c, self._errors[v])
                      for v, c in self._counts.items())
                 )
             ),

@@ -7,12 +7,15 @@ global sketch), and the documented error bounds (estimates are close
 enough to steer join choices).
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import HDFS, Metastore, connect
 from repro.common.rows import Schema
+from repro.stats import sketches
 from repro.stats.model import ColumnStats, TableStats, collect_table_stats, table_fingerprint
 from repro.stats.sketches import (
     KMVSketch,
@@ -164,6 +167,166 @@ class TestSpaceSavingSketch:
         assert a == b
 
 
+class ScanSpaceSaving:
+    """Reference Space-Saving summary: eviction scans every counter for
+    the smallest ``(count, value_order_key)``, first in dict order on a
+    tie.  The heap-ordered sketch must match its state bit for bit."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.total = 0
+        self.counts = {}
+        self.errors = {}
+
+    def add(self, value, count=1):
+        self.total += count
+        if value in self.counts:
+            self.counts[value] += count
+            return
+        if len(self.counts) < self.capacity:
+            self.counts[value] = count
+            self.errors[value] = 0
+            return
+        victim = min(self.counts,
+                     key=lambda v: (self.counts[v], value_order_key(v)))
+        floor = self.counts.pop(victim)
+        self.errors.pop(victim)
+        self.counts[value] = floor + count
+        self.errors[value] = floor
+
+    def merge(self, other):
+        def floor(side):
+            full = len(side.counts) >= side.capacity
+            return min(side.counts.values()) if full else 0
+
+        floor_self, floor_other = floor(self), floor(other)
+        combined = {}
+        for value in set(self.counts) | set(other.counts):
+            count = error = 0
+            for side, side_floor in ((self, floor_self), (other, floor_other)):
+                if value in side.counts:
+                    count += side.counts[value]
+                    error += side.errors[value]
+                else:
+                    count += side_floor
+                    error += side_floor
+            combined[value] = (count, error)
+        merged = ScanSpaceSaving(self.capacity)
+        merged.total = self.total + other.total
+        survivors = sorted(
+            combined.items(),
+            key=lambda item: (-item[1][0], value_order_key(item[0])),
+        )[: self.capacity]
+        for value, (count, error) in survivors:
+            merged.counts[value] = count
+            merged.errors[value] = error
+        return merged
+
+    def state(self):
+        return (self.capacity, self.total, tuple(sorted(
+            (value_order_key(v), c, self.errors[v])
+            for v, c in self.counts.items()
+        )))
+
+
+# few distinct values, so streams repeat heavily and evict often
+repeating_st = st.one_of(st.integers(0, 12), st.sampled_from("abcdefgh"),
+                         st.text(alphabet="xyz", max_size=2))
+weighted_streams = st.lists(st.tuples(repeating_st, st.integers(1, 5)),
+                            max_size=80)
+
+
+class TestSpaceSavingEquivalence:
+    """The lazy min-heap evicts exactly what a full scan would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), weighted_streams)
+    def test_state_matches_scan_after_every_add(self, capacity, stream):
+        sketch = SpaceSavingSketch(capacity)
+        reference = ScanSpaceSaving(capacity)
+        for value, count in stream:
+            sketch.add(value, count)
+            reference.add(value, count)
+            assert sketch.state() == reference.state()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), weighted_streams, weighted_streams,
+           weighted_streams)
+    def test_merge_then_adds_match_scan(self, capacity, xs, ys, after):
+        sides = []
+        for stream in (xs, ys):
+            sketch = SpaceSavingSketch(capacity)
+            reference = ScanSpaceSaving(capacity)
+            for value, count in stream:
+                sketch.add(value, count)
+                reference.add(value, count)
+            sides.append((sketch, reference))
+        (a, ref_a), (b, ref_b) = sides
+        merged, ref_merged = a.merge(b), ref_a.merge(ref_b)
+        assert merged.state() == ref_merged.state()
+        for value, count in after:
+            merged.add(value, count)
+            ref_merged.add(value, count)
+            assert merged.state() == ref_merged.state()
+
+    def test_equal_order_keys_evict_earliest_admitted(self):
+        # distinct NaN objects are distinct keys with identical bytes
+        first, second = float("nan"), float("nan")
+        sketch = SpaceSavingSketch(2)
+        reference = ScanSpaceSaving(2)
+        for value in (first, second, "x"):
+            sketch.add(value)
+            reference.add(value)
+        tracked = [value for value, _count, _error in sketch.items()]
+        assert any(value is second for value in tracked)
+        assert not any(value is first for value in tracked)
+        assert sketch.state() == reference.state()
+
+    def test_merge_of_equal_values_keeps_left_object(self):
+        # 1 and 1.0 are one dict key but encode differently: the merged
+        # counter is keyed, and ordered, by the left side's value
+        for left, right in ((1, 1.0), (1.0, 1)):
+            a, b = SpaceSavingSketch(2), SpaceSavingSketch(2)
+            ref_a, ref_b = ScanSpaceSaving(2), ScanSpaceSaving(2)
+            for sketch, reference, value in ((a, ref_a, left), (b, ref_b, right)):
+                for item in (value, "k", "k"):
+                    sketch.add(item)
+                    reference.add(item)
+            merged, ref_merged = a.merge(b), ref_a.merge(ref_b)
+            assert merged.state() == ref_merged.state()
+            assert {type(v) for v, _count, _error in merged.items()} == {
+                type(left), str}
+            merged.add("z")
+            ref_merged.add("z")
+            assert merged.state() == ref_merged.state()
+
+    def test_eviction_computes_order_keys_once_per_admission(self, monkeypatch):
+        # guards the per-eviction rescan: serializing every tracked value
+        # on each eviction costs ~capacity order keys per admitted value
+        calls = {"order_key": 0, "serialize": 0}
+        order_key, serialize = sketches.value_order_key, sketches.serialize_fields
+
+        def counted_order_key(value):
+            calls["order_key"] += 1
+            return order_key(value)
+
+        def counted_serialize(fields):
+            calls["serialize"] += 1
+            return serialize(fields)
+
+        monkeypatch.setattr(sketches, "value_order_key", counted_order_key)
+        monkeypatch.setattr(sketches, "serialize_fields", counted_serialize)
+        capacity, admitted = 64, 5000
+        sketch = SpaceSavingSketch(capacity)
+        for value in range(admitted):
+            sketch.add(value)
+        sketch.state()
+        sketch.items()
+        sketch.heavy_hitters(0.0)
+        assert calls["order_key"] <= admitted + capacity
+        assert calls["serialize"] <= admitted + capacity
+
+
 class TestColumnStats:
     def test_observe_tracks_nulls_and_range(self):
         stats = ColumnStats(name="v")
@@ -196,6 +359,59 @@ class TestColumnStats:
         assert merged.min_value == direct.min_value
         assert merged.max_value == direct.max_value
         assert merged.ndv_sketch == direct.ndv_sketch
+
+    @given(st.lists(st.one_of(st.just(math.nan), st.floats(), st.integers(-5, 5),
+                              st.none()),
+                    max_size=60),
+           st.integers(1, 4))
+    def test_block_merge_equals_single_pass_with_nan(self, values, num_blocks):
+        direct = ColumnStats(name="c")
+        direct.observe_column(values)
+        blocks = []
+        for i in range(num_blocks):
+            block = ColumnStats(name="c")
+            block.observe_column(values[i::num_blocks])
+            blocks.append(block)
+        merged = forward = ColumnStats(name="c")
+        for block in blocks:
+            forward = forward.merge(block)
+        for block in reversed(blocks):
+            merged = merged.merge(block)
+        for stats in (forward, merged):
+            assert stats.count == direct.count
+            assert stats.null_count == direct.null_count
+            assert stats.min_value == direct.min_value
+            assert stats.max_value == direct.max_value
+            assert stats.ndv_sketch == direct.ndv_sketch
+        for bound in (direct.min_value, direct.max_value):
+            assert not (isinstance(bound, float) and math.isnan(bound))
+
+    def test_nan_position_does_not_move_range(self):
+        nan = float("nan")
+        orders = ([nan, 1.0, 5.0], [1.0, nan, 5.0], [1.0, 5.0, nan])
+        for values in orders:
+            stats = ColumnStats(name="v")
+            for value in values:
+                stats.observe(value)
+            assert (stats.min_value, stats.max_value) == (1.0, 5.0)
+            assert stats.count == 3 and stats.ndv == 3.0
+            assert stats.selectivity("<", 3.0) == pytest.approx(0.5)
+        x, y = ColumnStats(name="v"), ColumnStats(name="v")
+        x.observe_column([nan, 1.0])
+        y.observe_column([5.0, nan])
+        for merged in (x.merge(y), y.merge(x)):
+            assert (merged.min_value, merged.max_value) == (1.0, 5.0)
+
+    def test_signed_zeros_are_distinct_ndv_members(self):
+        # 0.0 == -0.0 as dict keys, but their canonical bytes differ
+        stats = ColumnStats(name="v")
+        stats.observe_column([0.0, -0.0, 1.5])
+        assert len(stats.ndv_sketch.state()[1]) == 3
+        # ...as are 1, 1.0 and True
+        stats = ColumnStats(name="v")
+        stats.observe_column([0.0, -0.0, 1.5, 0.0, 1, True])
+        assert len(stats.ndv_sketch.state()[1]) == 5
+        assert stats.ndv_sketch == kmv_from_values([0.0, -0.0, 1.5, 1, True])
 
     def test_equality_selectivity_uses_heavy_hitters(self):
         stats = ColumnStats(name="k")
